@@ -4,8 +4,8 @@
 //!
 //! Per dataset it measures:
 //!
-//! * **single-query speedup** — wall time of repeated
-//!   `estimate_selectivity` calls, interpreted vs. compiled, on the same
+//! * **single-query speedup** — wall time of repeated single-query
+//!   estimates, interpreted vs. compiled, on the same
 //!   query set, asserting the two paths agree **bit-for-bit** on every
 //!   query (the estimates are one computation in two representations);
 //! * **serve latency** — per-query p50/p95/p99 over the compiled path,

@@ -5,7 +5,7 @@
 //! paths."
 //!
 //! We compare, on single-path workloads, the twig estimator
-//! (`estimate_selectivity`) against the dedicated single-path estimator
+//! (`InterpretedEstimator`) against the dedicated single-path estimator
 //! (`single_path::estimate_path_count`) over the same synopsis.
 
 use xtwig_bench::{pct, row, BenchConfig};

@@ -35,10 +35,11 @@
 //! The compiled evaluator mirrors the interpreted TREEPARSE
 //! operation-for-operation — same classification, same bucket filtering
 //! and renormalization order, same clamping — so its estimates are
-//! **bit-identical** to [`crate::estimate_selectivity_bounded`]
+//! **bit-identical** to [`crate::InterpretedEstimator`]
 //! (property-tested across all three paper generators in
-//! `tests/compiled.rs`). Only the bookkeeping differs: index arithmetic
-//! over flat arrays instead of hashmap probes and per-visit allocations.
+//! `tests/compiled_identity.rs`). Only the bookkeeping differs: index
+//! arithmetic over flat arrays instead of hashmap probes and per-visit
+//! allocations.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +55,7 @@ use crate::estimate::arena::{self, EvalArena};
 use crate::estimate::embedding::{enumerate_embeddings_metered, Embedding};
 use crate::estimate::guard::{EvalStats, Meter};
 use crate::estimate::kernel;
-use crate::estimate::{coarse_count_bound, BoundedEstimate, EstimateOptions};
+use crate::estimate::{coarse_count_bound, EstimateOptions};
 use crate::synopsis::{DimKind, SynId, Synopsis, ValueSource};
 use crate::telemetry::{self, Span, Stage};
 use std::time::Instant;
@@ -645,7 +646,7 @@ impl<'a> CompiledSynopsis<'a> {
     /// The compiled estimation pipeline behind the unified [`Estimator`]
     /// surface: memoized expansion and flat-array TREEPARSE under spans,
     /// the shared clamping loop, one telemetry flush — numerically the
-    /// historical `estimate_selectivity_bounded`, bit for bit.
+    /// interpreted estimator, bit for bit.
     pub fn estimate_report(&self, query: &TwigQuery, opts: &EstimateOptions) -> EstimateReport {
         arena::with_scratch(|ar| {
             let t_total = Instant::now();
@@ -674,7 +675,7 @@ impl<'a> CompiledSynopsis<'a> {
 
     /// Estimates `query` against an already-expanded plan, skipping
     /// expansion and the memo entirely. This is the batch plan-reuse
-    /// entry point: [`crate::serve::serve_reports`] expands each distinct
+    /// entry point: [`crate::serve::BatchServer::serve`] expands each distinct
     /// twig signature once per batch and evaluates every member of the
     /// group against the shared plan. Numerically identical to
     /// [`CompiledSynopsis::estimate_report`] on the same plan —
@@ -777,30 +778,6 @@ impl<'a> CompiledSynopsis<'a> {
         }
     }
 
-    /// Compiled mirror of `estimate_selectivity_bounded`: identical
-    /// clamping loop, with expansion served through the memo and
-    /// TREEPARSE running over the flat arrays.
-    ///
-    /// **Deprecated surface**: thin shim over
-    /// [`CompiledSynopsis::estimate_report`] / the [`Estimator`] trait,
-    /// kept for source compatibility.
-    pub fn estimate_selectivity_bounded(
-        &self,
-        query: &TwigQuery,
-        opts: &EstimateOptions,
-    ) -> BoundedEstimate {
-        self.estimate_report(query, opts).bounded()
-    }
-
-    /// Compiled mirror of `estimate_selectivity`.
-    ///
-    /// **Deprecated surface**: thin shim over
-    /// [`CompiledSynopsis::estimate_report`], kept for source
-    /// compatibility.
-    pub fn estimate_selectivity(&self, query: &TwigQuery, opts: &EstimateOptions) -> f64 {
-        self.estimate_report(query, opts).estimate
-    }
-
     /// Estimates one embedding whose `needs` lists were computed by
     /// [`CompiledSynopsis::compute_needs`]. Scratch lives in `ar`; the
     /// recursion's stack discipline leaves every lane at its entry
@@ -821,7 +798,7 @@ impl<'a> CompiledSynopsis<'a> {
     /// Evaluates a single embedding of an expanded plan under its own
     /// meter — the unit of work the batch scheduler hands out when it
     /// splits a heavy unguarded query across workers (see
-    /// [`crate::serve::serve_reports`]).
+    /// [`crate::serve::BatchServer::serve`]).
     pub(crate) fn eval_one_embedding(
         &self,
         expanded: &ExpandedQuery,
@@ -1223,7 +1200,7 @@ impl std::fmt::Debug for CompiledSynopsis<'_> {
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::estimate_selectivity;
+    use crate::estimate::interpreted;
     use crate::synopsis::ScopeDim;
     use xtwig_query::parse_twig;
     use xtwig_xml::{parse, DocumentBuilder};
@@ -1306,8 +1283,8 @@ mod tests {
             "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year[. >= 2001]",
         ] {
             let q = parse_twig(text).unwrap();
-            let interp = estimate_selectivity(&s, &q, &opts);
-            let compiled = cs.estimate_selectivity(&q, &opts);
+            let interp = interpreted(&s, &q, &opts);
+            let compiled = cs.estimate_report(&q, &opts).estimate;
             assert_eq!(
                 interp.to_bits(),
                 compiled.to_bits(),
@@ -1356,8 +1333,8 @@ mod tests {
         let cs = CompiledSynopsis::compile(&s);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //movie[type = 1], $t1 in $t0/actor").unwrap();
-        let interp = estimate_selectivity(&s, &q, &opts);
-        let compiled = cs.estimate_selectivity(&q, &opts);
+        let interp = interpreted(&s, &q, &opts);
+        let compiled = cs.estimate_report(&q, &opts).estimate;
         assert_eq!(interp.to_bits(), compiled.to_bits());
         assert!((compiled - 160.0).abs() < 1.0, "{compiled}");
     }
@@ -1369,8 +1346,8 @@ mod tests {
         let cs = CompiledSynopsis::compile(&s);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let a = cs.estimate_selectivity(&q, &opts);
-        let b = cs.estimate_selectivity(&q, &opts);
+        let a = cs.estimate_report(&q, &opts).estimate;
+        let b = cs.estimate_report(&q, &opts).estimate;
         assert_eq!(a.to_bits(), b.to_bits());
         let (hits, misses) = cs.expansion_memo_stats();
         assert_eq!(misses, 1);
@@ -1417,13 +1394,12 @@ mod tests {
             ..Default::default()
         };
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/keyword").unwrap();
-        let b = cs.estimate_selectivity_bounded(&q, &opts);
-        assert!(b.exhaustion.is_some());
+        let b = cs.estimate_report(&q, &opts);
+        assert!(b.provenance.exhaustion.is_some());
         // The exhausted (partial) expansion must not poison later full runs.
-        let full = cs.estimate_selectivity_bounded(&q, &EstimateOptions::default());
-        assert!(full.exhaustion.is_none());
-        let interp =
-            crate::estimate::estimate_selectivity_bounded(&s, &q, &EstimateOptions::default());
-        assert_eq!(full.estimate.to_bits(), interp.estimate.to_bits());
+        let full = cs.estimate_report(&q, &EstimateOptions::default());
+        assert!(full.provenance.exhaustion.is_none());
+        let interp = interpreted(&s, &q, &EstimateOptions::default());
+        assert_eq!(full.estimate.to_bits(), interp.to_bits());
     }
 }

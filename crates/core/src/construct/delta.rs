@@ -4,8 +4,10 @@
 //! paper's synopsis, however, is mostly *stable* under small deltas — an
 //! inserted subtree or a deleted leaf touches only the groups whose
 //! extents change and the edges incident to them. [`delta_xbuild`]
-//! exploits that: it applies a [`Delta`] to the document, carries the
-//! existing partition across the arena rebuild via the old→new node map,
+//! exploits that: given a [`Delta`] already applied to the document (by
+//! [`apply_delta`](xtwig_xml::apply_delta), which also validates it), it
+//! carries the existing partition across the arena rebuild via the
+//! old→new node map,
 //! assigns inserted elements to signature-compatible groups (same label,
 //! same parent group — a fresh group otherwise), and recomputes only the
 //! affected edges, histograms and value summaries in place. Histogram
@@ -31,7 +33,7 @@ use crate::construct::xbuild::{xbuild_from, BuildOptions, BuildTrace, TruthSourc
 use crate::synopsis::{DimKind, ScopeDim, SynId, Synopsis, SynopsisEdge};
 use crate::tsn::b_stable_ancestors;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use xtwig_xml::{apply_delta, Delta, DeltaError, Document};
+use xtwig_xml::{AppliedDelta, Delta, Document};
 
 /// Tunables for incremental maintenance.
 #[derive(Debug, Clone, Copy)]
@@ -140,27 +142,29 @@ pub struct DeltaBuildOutcome {
     pub report: DeltaBuildReport,
 }
 
-/// Applies `delta` to `doc` and maintains `s` incrementally (see the
-/// module docs). `s` must still hold its element extents
+/// Maintains `s` incrementally across `delta` (see the module docs).
+/// `applied` is [`apply_delta`](xtwig_xml::apply_delta)`(doc, delta)`:
+/// the caller applies — and so validates — the delta once, and
+/// maintenance reuses that rebuilt document instead of applying it
+/// again. `s` must still hold its element extents
 /// ([`Synopsis::has_extents`]); snapshot-loaded synopses cannot be
 /// maintained.
 ///
-/// On error the synopsis and drift meter are untouched.
-///
 /// # Panics
-/// Panics when `s` has no extents or does not cover `doc`.
+/// Panics when `s` has no extents or does not cover `doc`, or when
+/// `applied` was not produced from `doc`.
 pub fn delta_xbuild(
     s: &mut Synopsis,
     doc: &Document,
     delta: &Delta,
+    applied: AppliedDelta,
     drift: &mut DriftMeter,
     opts: &DeltaBuildOptions,
-) -> Result<DeltaBuildOutcome, DeltaError> {
+) -> DeltaBuildOutcome {
     assert!(
         s.has_extents(),
         "delta_xbuild requires a synopsis with extents"
     );
-    let applied = apply_delta(doc, delta)?;
     let new_doc = applied.doc;
 
     // ------------------------------------------------------------------
@@ -284,10 +288,10 @@ pub fn delta_xbuild(
             needs_refine: true,
             full_rebuild: true,
         };
-        return Ok(DeltaBuildOutcome {
+        return DeltaBuildOutcome {
             doc: new_doc,
             report,
-        });
+        };
     }
 
     // ------------------------------------------------------------------
@@ -409,10 +413,10 @@ pub fn delta_xbuild(
         needs_refine: drift.total() >= opts.drift_threshold,
         full_rebuild: false,
     };
-    Ok(DeltaBuildOutcome {
+    DeltaBuildOutcome {
         doc: new_doc,
         report,
-    })
+    }
 }
 
 /// Budgeted re-refinement after drift: a bounded [`xbuild_from`] pass
@@ -438,7 +442,7 @@ mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
     use crate::validate::validate;
-    use xtwig_xml::parse;
+    use xtwig_xml::{apply_delta, parse};
 
     fn bib() -> Document {
         parse(concat!(
@@ -468,10 +472,10 @@ mod tests {
             &mut s,
             &doc,
             &delta,
+            apply_delta(&doc, &delta).unwrap(),
             &mut drift,
             &DeltaBuildOptions::default(),
-        )
-        .unwrap();
+        );
         assert!(!out.report.full_rebuild);
         assert_eq!(
             out.report.groups_created, 0,
@@ -500,10 +504,10 @@ mod tests {
             &mut s,
             &doc,
             &delta,
+            apply_delta(&doc, &delta).unwrap(),
             &mut drift,
             &DeltaBuildOptions::default(),
-        )
-        .unwrap();
+        );
         assert!(!out.report.full_rebuild);
         // Two fresh groups: thesis, plus title *under thesis* (novel
         // partition signature — the existing title group hangs off paper
@@ -530,10 +534,10 @@ mod tests {
             &mut s,
             &doc,
             &delta,
+            apply_delta(&doc, &delta).unwrap(),
             &mut drift,
             &DeltaBuildOptions::default(),
-        )
-        .unwrap();
+        );
         assert!(out.report.full_rebuild);
         assert!(out.report.needs_refine);
         s.check_invariants(&out.doc).unwrap();
@@ -554,10 +558,10 @@ mod tests {
             &mut s,
             &doc,
             &delta,
+            apply_delta(&doc, &delta).unwrap(),
             &mut drift,
             &DeltaBuildOptions::default(),
-        )
-        .unwrap();
+        );
         assert!(!out.report.full_rebuild);
         assert!(out.report.value_summaries_rebuilt >= 1);
         s.check_invariants(&out.doc).unwrap();
@@ -583,7 +587,14 @@ mod tests {
             let target = s.extent(authors)[0];
             let mut delta = Delta::new();
             delta.insert(target, parse("<paper><title/><keyword/></paper>").unwrap());
-            let out = delta_xbuild(&mut s, &cur, &delta, &mut drift, &opts).unwrap();
+            let out = delta_xbuild(
+                &mut s,
+                &cur,
+                &delta,
+                apply_delta(&cur, &delta).unwrap(),
+                &mut drift,
+                &opts,
+            );
             cur = out.doc;
             needs = out.report.needs_refine;
             if needs {
@@ -625,10 +636,10 @@ mod tests {
             &mut s,
             &doc,
             &delta,
+            apply_delta(&doc, &delta).unwrap(),
             &mut drift,
             &DeltaBuildOptions::default(),
-        )
-        .unwrap();
+        );
         let scratch = coarse_synopsis(&out.doc);
         assert_eq!(s.node_count(), scratch.node_count());
         for n in s.node_ids() {

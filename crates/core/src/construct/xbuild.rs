@@ -187,7 +187,7 @@ pub fn xbuild_from_with_workload(
                 let cr = CompiledSynopsis::compile(r);
                 queries
                     .iter()
-                    .map(|q| cr.estimate_selectivity(q, &opts.estimate))
+                    .map(|q| cr.estimate_report(q, &opts.estimate).estimate)
                     .collect()
             }
             TruthSource::Exact => queries
@@ -375,7 +375,7 @@ pub fn workload_error_compiled(
     let sanity = percentile10(truths).max(1.0);
     let mut acc = 0.0;
     for (q, &t) in queries.iter().zip(truths) {
-        let est = cs.estimate_selectivity(q, opts);
+        let est = cs.estimate_report(q, opts).estimate;
         acc += (est - t).abs() / t.max(sanity);
     }
     acc / queries.len() as f64
@@ -519,7 +519,7 @@ fn gen_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::estimate_selectivity;
+    use crate::estimate::interpreted;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xtwig_xml::DocumentBuilder;
@@ -582,8 +582,8 @@ mod tests {
                 .unwrap();
         let truth = xtwig_query::selectivity(&doc, &q) as f64;
         let e_opts = EstimateOptions::default();
-        let coarse_err = (estimate_selectivity(&coarse, &q, &e_opts) - truth).abs() / truth;
-        let built_err = (estimate_selectivity(&built, &q, &e_opts) - truth).abs() / truth;
+        let coarse_err = (interpreted(&coarse, &q, &e_opts) - truth).abs() / truth;
+        let built_err = (interpreted(&built, &q, &e_opts) - truth).abs() / truth;
         assert!(
             built_err <= coarse_err + 1e-9,
             "built {built_err} vs coarse {coarse_err}"
@@ -664,7 +664,7 @@ mod tests {
 mod workload_aware_tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::estimate_selectivity;
+    use crate::estimate::interpreted;
     use rand::rngs::StdRng;
 
     /// Document where one rare correlated region matters only to the log.
@@ -712,8 +712,8 @@ mod workload_aware_tests {
             xbuild_from_with_workload(coarse.clone(), &d, TruthSource::Exact, &opts, &log);
         let (blind, _) = xbuild_from(coarse, &d, TruthSource::Exact, &opts);
         let e = EstimateOptions::default();
-        let tuned_err = (estimate_selectivity(&tuned, &log[0], &e) - truth).abs() / truth;
-        let blind_err = (estimate_selectivity(&blind, &log[0], &e) - truth).abs() / truth;
+        let tuned_err = (interpreted(&tuned, &log[0], &e) - truth).abs() / truth;
+        let blind_err = (interpreted(&blind, &log[0], &e) - truth).abs() / truth;
         assert!(
             tuned_err <= blind_err + 1e-9,
             "tuned {tuned_err:.4} should not lose to blind {blind_err:.4}"

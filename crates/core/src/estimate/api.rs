@@ -1,11 +1,8 @@
 //! The unified estimation API: one request/report surface over the
 //! interpreted, compiled, and guarded estimators.
 //!
-//! Historically the crate grew five overlapping entry points
-//! (`estimate_selectivity`, `estimate_selectivity_bounded`,
-//! `CompiledSynopsis::estimate_selectivity*`, `estimate_many`,
-//! `GuardedEstimator::estimate_guarded`), each returning a different
-//! shape. This module folds them behind a single [`Estimator`] trait:
+//! Every estimator — interpreted, compiled, guarded — answers through
+//! the single [`Estimator`] trait:
 //!
 //! ```text
 //! fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport
@@ -19,11 +16,6 @@
 //! report also carries an [`Explain`]: the per-embedding contributions
 //! that sum to the estimate, and how often each of the paper's
 //! statistical assumptions fired.
-//!
-//! The legacy free functions remain as thin shims over this module so
-//! existing callers keep compiling, bit-identically; `xtask lint`
-//! (rule `legacy-estimate`) denies *new* direct calls outside the shim
-//! modules.
 
 use super::embedding::{enumerate_embeddings_metered, Embedding};
 use super::eval::estimate_embedding_metered;
@@ -196,8 +188,8 @@ pub struct EstimateReport {
 }
 
 impl EstimateReport {
-    /// Projects the report onto the legacy [`BoundedEstimate`] shape —
-    /// exactly what `estimate_selectivity_bounded` used to return.
+    /// Projects the report onto the compact [`BoundedEstimate`] shape
+    /// the estimate cache stores.
     pub fn bounded(&self) -> BoundedEstimate {
         BoundedEstimate {
             estimate: self.estimate,
@@ -391,8 +383,7 @@ pub(crate) fn flush_query_telemetry(
 
 /// The interpreted estimation pipeline, instrumented: expansion +
 /// enumeration under a span, the shared evaluation loop under another,
-/// one telemetry flush at the end. The numeric path is exactly the
-/// historical `estimate_selectivity_bounded`.
+/// one telemetry flush at the end.
 pub(crate) fn run_interpreted(
     s: &Synopsis,
     query: &TwigQuery,
@@ -488,15 +479,13 @@ mod tests {
     }
 
     #[test]
-    fn report_matches_legacy_shim_bit_for_bit() {
+    fn full_fidelity_report_has_interpreted_provenance() {
         let d = doc();
         let s = coarse_synopsis(&d);
         let q = parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap();
-        let req = EstimateRequest::new(&q);
-        let rep = InterpretedEstimator::new(&s).estimate(&req);
-        let legacy = super::super::estimate_selectivity_bounded(&s, &q, &req.options);
-        assert_eq!(rep.estimate.to_bits(), legacy.estimate.to_bits());
-        assert_eq!(rep.bounded(), legacy);
+        let rep = InterpretedEstimator::new(&s).estimate(&EstimateRequest::new(&q));
+        assert!((rep.estimate - 4.0).abs() < 1e-9, "{}", rep.estimate);
+        assert_eq!(rep.bounded().embeddings, 2, "paper under conf and journal");
         assert_eq!(rep.provenance.source, "xsketch-interpreted");
         assert!(!rep.provenance.degraded);
         assert!(rep.explain.is_none());

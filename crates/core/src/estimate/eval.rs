@@ -268,7 +268,7 @@ fn eval_node(
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::{enumerate_embeddings, estimate_selectivity, EstimateOptions};
+    use crate::estimate::{enumerate_embeddings, interpreted, EstimateOptions};
     use crate::synopsis::{DimKind, ScopeDim};
     use xtwig_query::{parse_twig, selectivity};
     use xtwig_xml::{parse, DocumentBuilder};
@@ -323,7 +323,7 @@ mod tests {
                 4096,
             );
             let q = parse_twig("for $t0 in //A, $t1 in $t0/B, $t2 in $t0/C").unwrap();
-            let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+            let est = interpreted(&s, &q, &EstimateOptions::default());
             assert!((est - truth).abs() < 1e-6, "estimate {est} != {truth}");
             assert_eq!(selectivity(&d, &q) as f64, truth);
         }
@@ -343,7 +343,7 @@ mod tests {
             // Independent 1-D scopes: enumerate b and c separately.
             s.set_edge_hist(&d, a, vec![], 8);
             let q = parse_twig("for $t0 in //A, $t1 in $t0/B, $t2 in $t0/C").unwrap();
-            let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+            let est = interpreted(&s, &q, &EstimateOptions::default());
             assert!((est - 6050.0).abs() < 1e-6, "estimate {est}");
         }
     }
@@ -533,7 +533,7 @@ mod tests {
             "for $t0 in //author, $t1 in $t0/name, $t2 in $t0/paper, $t3 in $t2/keyword, $t4 in $t2/year",
         )
         .unwrap();
-        let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+        let est = interpreted(&s, &q, &EstimateOptions::default());
         let truth = selectivity(&d, &q) as f64;
         assert!((est - truth).abs() < 1e-6, "{est} vs {truth}");
     }
@@ -547,8 +547,8 @@ mod tests {
             parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year[. >= 2001]")
                 .unwrap();
         let opts = EstimateOptions::default();
-        let est_all = estimate_selectivity(&s, &q_all, &opts);
-        let est_some = estimate_selectivity(&s, &q_some, &opts);
+        let est_all = interpreted(&s, &q_all, &opts);
+        let est_some = interpreted(&s, &q_some, &opts);
         assert!(est_some < est_all, "{est_some} !< {est_all}");
         assert!(est_some > 0.0);
         // Exact: 2 of 4 years are ≥ 2001.
@@ -561,7 +561,7 @@ mod tests {
         let s = coarse_synopsis(&d);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //author[book], $t1 in $t0/paper").unwrap();
-        let est = estimate_selectivity(&s, &q, &opts);
+        let est = interpreted(&s, &q, &opts);
         // 2 of 3 authors have a book; they hold 2 papers total. The
         // uniformity assumption spreads papers evenly: 3 × 2/3 × 4/3 ≈ 2.67.
         let truth = selectivity(&d, &q) as f64;
@@ -575,7 +575,7 @@ mod tests {
         let s = coarse_synopsis(&d);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //keyword").unwrap();
-        let est = estimate_selectivity(&s, &q, &opts);
+        let est = interpreted(&s, &q, &opts);
         assert!((est - 5.0).abs() < 1e-9, "{est}");
     }
 
@@ -604,7 +604,7 @@ mod tests {
 
         let plain = coarse_synopsis(&d);
         let opts = EstimateOptions::default();
-        let plain_est = estimate_selectivity(&plain, &q, &opts);
+        let plain_est = interpreted(&plain, &q, &opts);
         // Independence: 40 movies × 0.5 (type fraction) × 4.5 avg = 90.
         assert!((plain_est - 90.0).abs() < 1.0, "{plain_est}");
 
@@ -630,7 +630,7 @@ mod tests {
             kind: DimKind::Value,
         });
         joint.set_edge_hist(&d, movie, scope, 2048);
-        let joint_est = estimate_selectivity(&joint, &q, &opts);
+        let joint_est = interpreted(&joint, &q, &opts);
         assert!(
             (joint_est - truth).abs() < 1.0,
             "joint estimate {joint_est} vs truth {truth}"
@@ -674,7 +674,7 @@ mod tests {
             kind: DimKind::Value,
         });
         s.set_edge_hist(&d, x, scope, 2048);
-        let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+        let est = interpreted(&s, &q, &EstimateOptions::default());
         assert!((est - truth).abs() < 1.0, "{est} vs {truth}");
     }
 
@@ -715,7 +715,7 @@ mod tests {
 mod value_dim_tests {
 
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::{estimate_selectivity, EstimateOptions};
+    use crate::estimate::{interpreted, EstimateOptions};
     use crate::synopsis::{DimKind, ScopeDim};
     use xtwig_query::{parse_twig, selectivity};
     use xtwig_xml::DocumentBuilder;
@@ -791,7 +791,7 @@ mod value_dim_tests {
             .unwrap();
         let truth = selectivity(&d, &q) as f64; // 8 depts × 6 members × 3 = 144
         assert_eq!(truth, 144.0);
-        let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+        let est = interpreted(&s, &q, &EstimateOptions::default());
         assert!(
             (est - truth).abs() < 1.0,
             "value dim + backward conditioning: {est} vs {truth}"
@@ -808,7 +808,7 @@ mod value_dim_tests {
             }],
             1 << 14,
         );
-        let blurred_est = estimate_selectivity(&blurred, &q, &EstimateOptions::default());
+        let blurred_est = interpreted(&blurred, &q, &EstimateOptions::default());
         assert!(
             (blurred_est - truth).abs() > 20.0,
             "independence should miss: {blurred_est} vs {truth}"
@@ -834,7 +834,7 @@ mod value_dim_tests {
         );
         let q = parse_twig("for $t0 in //grade[. = 1]").unwrap();
         let truth = selectivity(&d, &q) as f64; // 8
-        let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+        let est = interpreted(&s, &q, &EstimateOptions::default());
         assert!((est - truth).abs() < 1e-6, "{est} vs {truth}");
     }
 
@@ -843,7 +843,7 @@ mod value_dim_tests {
         let d = dept_doc();
         let s = coarse_synopsis(&d); // no value dims anywhere
         let q = parse_twig("for $t0 in //dept[grade = 1], $t1 in $t0/member").unwrap();
-        let est = estimate_selectivity(&s, &q, &EstimateOptions::default());
+        let est = interpreted(&s, &q, &EstimateOptions::default());
         // Fallback = fraction × average members: 24 × (1/3) × (8·6+16·2)/24.
         let expected = 24.0 * (1.0 / 3.0) * ((8.0 * 6.0 + 16.0 * 2.0) / 24.0);
         assert!((est - expected).abs() < 1.5, "{est} vs expected {expected}");

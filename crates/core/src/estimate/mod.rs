@@ -156,10 +156,11 @@ impl EstimateOptionsBuilder {
     }
 }
 
-/// A bounded estimation result: the (sanitized) estimate plus provenance
-/// about how it was produced — whether a budget tripped, how much work
-/// was spent, and whether any non-finite contribution had to be clamped
-/// at the boundary.
+/// The compact, `Copy` projection of an [`EstimateReport`] that the
+/// estimate cache stores: the (sanitized) estimate plus whether a
+/// budget tripped, how much work was spent, and whether any non-finite
+/// contribution had to be clamped at the boundary. Produced by
+/// [`EstimateReport::bounded`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedEstimate {
     /// The estimated number of binding tuples — always finite and ≥ 0.
@@ -174,49 +175,6 @@ pub struct BoundedEstimate {
     /// Number of per-embedding contributions that were NaN, negative, or
     /// infinite and were clamped at the boundary.
     pub clamped: usize,
-}
-
-impl BoundedEstimate {
-    /// Whether the result is anything less than the full-fidelity sum:
-    /// a budget tripped or a contribution had to be clamped.
-    pub fn is_degraded(&self) -> bool {
-        self.exhaustion.is_some() || self.clamped > 0
-    }
-}
-
-/// Estimates the selectivity (number of binding tuples) of `query` over
-/// the synopsis: the sum of the estimates of all maximal twig embeddings.
-///
-/// This is the guarded variant: expansion, enumeration and evaluation all
-/// charge a shared [`Meter`] built from the options' deadline/work-limit
-/// fields, and the returned value is sanitized — never NaN, negative, or
-/// infinite (non-finite contributions clamp to 0.0 or the coarse
-/// label-count bound). With default options the numeric result is
-/// identical to [`estimate_selectivity`].
-///
-/// **Deprecated surface**: this free function is a thin shim over the
-/// unified [`Estimator`] API — prefer
-/// [`InterpretedEstimator`]`::new(s).estimate(&req)`, which returns the
-/// same number (bit-identical) inside a full [`EstimateReport`]. Kept
-/// for source compatibility; new call sites are denied by `xtask lint`
-/// (rule `legacy-estimate`).
-pub fn estimate_selectivity_bounded(
-    s: &Synopsis,
-    query: &TwigQuery,
-    opts: &EstimateOptions,
-) -> BoundedEstimate {
-    api::run_interpreted(s, query, opts).bounded()
-}
-
-/// Estimates the selectivity (number of binding tuples) of `query` over
-/// the synopsis: the sum of the estimates of all maximal twig embeddings.
-/// Equivalent to [`estimate_selectivity_bounded`] with the estimate
-/// extracted; the result is always finite and non-negative.
-///
-/// **Deprecated surface**: thin shim over the unified [`Estimator`] API —
-/// prefer [`InterpretedEstimator`]; see [`estimate_selectivity_bounded`].
-pub fn estimate_selectivity(s: &Synopsis, query: &TwigQuery, opts: &EstimateOptions) -> f64 {
-    estimate_selectivity_bounded(s, query, opts).estimate
 }
 
 /// A trivially cheap, always-finite upper bound on twig selectivity: the
@@ -241,6 +199,15 @@ pub fn coarse_count_bound(s: &Synopsis, query: &TwigQuery) -> f64 {
     bound
 }
 
+/// Test shorthand: the interpreted estimate of `query` under `opts`,
+/// through the [`Estimator`] trait.
+#[cfg(test)]
+pub(crate) fn interpreted(s: &Synopsis, query: &TwigQuery, opts: &EstimateOptions) -> f64 {
+    InterpretedEstimator::new(s)
+        .estimate(&EstimateRequest::with_options(query, *opts))
+        .estimate
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +229,7 @@ mod tests {
         let embs = enumerate_embeddings(&s, &q, &opts);
         assert_eq!(embs.len(), 2);
         let sum: f64 = embs.iter().map(|e| estimate_embedding(&s, e)).sum();
-        let direct = estimate_selectivity(&s, &q, &opts);
+        let direct = interpreted(&s, &q, &opts);
         assert!((sum - direct).abs() < 1e-12);
         assert!((direct - selectivity(&doc, &q) as f64).abs() < 1e-9);
     }
@@ -318,7 +285,7 @@ mod tests {
     /// Regression (ISSUE 2 satellite): histogram buckets with zero mass —
     /// a state refinement can legitimately produce before re-bucketing —
     /// must never surface as NaN or a negative estimate at the
-    /// `estimate_selectivity` boundary.
+    /// estimator boundary.
     #[test]
     fn zero_mass_buckets_never_produce_nan() {
         let doc = parse(
@@ -343,7 +310,7 @@ mod tests {
         });
         for q in &queries {
             let q = parse_twig(q).unwrap();
-            let v = estimate_selectivity(&zeroed, &q, &opts);
+            let v = interpreted(&zeroed, &q, &opts);
             assert!(v.is_finite() && v >= 0.0, "zero-mass: got {v}");
         }
 
@@ -355,12 +322,8 @@ mod tests {
         });
         for q in &queries {
             let q = parse_twig(q).unwrap();
-            let bounded = estimate_selectivity_bounded(&poisoned, &q, &opts);
-            assert!(
-                bounded.estimate.is_finite() && bounded.estimate >= 0.0,
-                "NaN means: got {}",
-                bounded.estimate
-            );
+            let v = interpreted(&poisoned, &q, &opts);
+            assert!(v.is_finite() && v >= 0.0, "NaN means: got {v}");
         }
     }
 }

@@ -4,9 +4,9 @@
 //! module writes one to a compact, versioned binary snapshot and reads it
 //! back. Snapshots are **estimation-only** — the element extents (which
 //! the paper's space budget never charges, §5) are construction-time
-//! state and are not stored, so a loaded synopsis can answer
-//! [`estimate_selectivity`](crate::estimate_selectivity) but cannot be
-//! refined further (see [`Synopsis::has_extents`]).
+//! state and are not stored, so a loaded synopsis can answer estimates
+//! (through any [`Estimator`](crate::Estimator)) but cannot be refined
+//! further (see [`Synopsis::has_extents`]).
 //!
 //! Format v2 (little-endian):
 //!
@@ -72,17 +72,6 @@ pub enum SnapshotError {
         /// Path involved.
         path: String,
     },
-    /// The snapshot is zero bytes long.
-    ///
-    /// Legacy variant: since the incremental-maintenance work, zero-length
-    /// and header-only inputs surface as [`SnapshotError::Truncated`] with
-    /// exact expected/actual lengths (a zero-length file at a snapshot
-    /// path is a torn write, not a distinct corruption mode). Kept so
-    /// existing matches keep compiling.
-    Empty {
-        /// Path involved, when reading from disk.
-        path: Option<String>,
-    },
     /// The magic bytes are wrong — this is not an XTWG snapshot at all.
     NotASnapshot,
     /// The version field names a format this reader does not know.
@@ -90,7 +79,9 @@ pub enum SnapshotError {
         /// The version found.
         version: u32,
     },
-    /// The file is shorter than its header promises.
+    /// The file is shorter than its header promises. Zero-length and
+    /// header-only inputs land here too, with exact lengths: an empty
+    /// file at a snapshot path is a torn write.
     Truncated {
         /// Bytes the header promises (header + payload).
         expected: usize,
@@ -138,8 +129,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::IsDirectory { path } => {
                 write!(f, "snapshot path {path} is a directory")
             }
-            SnapshotError::Empty { path: Some(p) } => write!(f, "empty snapshot at {p}"),
-            SnapshotError::Empty { path: None } => write!(f, "empty snapshot"),
             SnapshotError::NotASnapshot => write!(f, "not an XTWG snapshot"),
             SnapshotError::UnsupportedVersion { version } => {
                 write!(f, "unsupported snapshot version {version}")
@@ -775,7 +764,7 @@ pub fn write_bytes_atomic_in(
 mod tests {
     use super::*;
     use crate::construct::{xbuild, BuildOptions, TruthSource};
-    use crate::estimate::{estimate_selectivity, EstimateOptions};
+    use crate::estimate::{interpreted, EstimateOptions};
     use xtwig_query::parse_twig;
     use xtwig_xml::parse;
 
@@ -817,8 +806,8 @@ mod tests {
             "for $t0 in //keyword",
         ] {
             let q = parse_twig(text).unwrap();
-            let a = estimate_selectivity(&s, &q, &opts);
-            let b = estimate_selectivity(&loaded, &q, &opts);
+            let a = interpreted(&s, &q, &opts);
+            let b = interpreted(&loaded, &q, &opts);
             assert!((a - b).abs() < 1e-12, "{text}: {a} vs {b}");
         }
     }
@@ -956,8 +945,8 @@ mod tests {
         assert_eq!(loaded.node_count(), s.node_count());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let opts = EstimateOptions::default();
-        let a = estimate_selectivity(&s, &q, &opts);
-        let b = estimate_selectivity(&loaded, &q, &opts);
+        let a = interpreted(&s, &q, &opts);
+        let b = interpreted(&loaded, &q, &opts);
         assert!((a - b).abs() < 1e-12);
     }
 

@@ -45,10 +45,10 @@ pub use construct::{
 };
 pub use describe::describe;
 pub use estimate::{
-    coarse_count_bound, earliest_deadline, estimate_selectivity, estimate_selectivity_bounded,
-    AssumptionCounts, BoundedEstimate, EmbeddingContribution, EstimateOptions,
-    EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain,
-    InterpretedEstimator, Provenance, QueryTelemetry,
+    coarse_count_bound, earliest_deadline, AssumptionCounts, BoundedEstimate,
+    EmbeddingContribution, EstimateOptions, EstimateOptionsBuilder, EstimateReport,
+    EstimateRequest, Estimator, Exhaustion, Explain, InterpretedEstimator, Provenance,
+    QueryTelemetry,
 };
 pub use io::pod::{AlignedBytes, Lane};
 pub use io::v3::{
@@ -70,8 +70,8 @@ pub use serve::runtime::{
     ShedPolicy,
 };
 pub use serve::{
-    estimate_many, serve_reports, BatchServer, CacheStats, CatalogError, CatalogOptions,
-    CatalogOptionsBuilder, CatalogStats, EstimateCache, FaultHook, RebuildHook, SnapshotCatalog,
+    BatchServer, CacheStats, CatalogError, CatalogOptions, CatalogOptionsBuilder, CatalogStats,
+    EstimateCache, FaultHook, RebuildHook, SnapshotCatalog,
 };
 pub use synopsis::{EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, ValueSummary};
 pub use tsn::twig_stable_neighborhood;

@@ -58,7 +58,7 @@ pub struct CompiledXsketchEstimator<'a> {
 
 impl SummaryEstimator for CompiledXsketchEstimator<'_> {
     fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.compiled.estimate_selectivity(q, &self.opts)
+        self.compiled.estimate_report(q, &self.opts).estimate
     }
 
     fn size_bytes(&self) -> usize {

@@ -20,7 +20,7 @@ use xtwig_core::{
     SnapshotCatalog, SnapshotError, Synopsis, Vfs, VfsFaultPlan,
 };
 use xtwig_query::TwigQuery;
-use xtwig_xml::Document;
+use xtwig_xml::{apply_delta, Document};
 
 use crate::guarded::{GuardPolicy, GuardedEstimator, InjectedFault, Tier};
 use crate::ingest::{random_delta, run_ingest_soak, IngestOptions, IngestSoakReport, IngestStore};
@@ -1350,16 +1350,18 @@ pub fn run_storage_chaos(
                 };
                 let mut shadow = store.synopsis().clone();
                 let mut shadow_drift = xtwig_core::construct::DriftMeter::new();
-                let post_bytes = match xtwig_core::delta_xbuild(
+                let Ok(applied) = apply_delta(store.doc(), &delta) else {
+                    continue; // delta does not apply; skip
+                };
+                xtwig_core::delta_xbuild(
                     &mut shadow,
                     store.doc(),
                     &delta,
+                    applied,
                     &mut shadow_drift,
                     &ingest_opts.delta,
-                ) {
-                    Ok(_) => save_synopsis(&shadow),
-                    Err(_) => continue, // delta does not apply; skip
-                };
+                );
+                let post_bytes = save_synopsis(&shadow);
                 report.write_attempts += 1;
                 let outcome =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.ingest(&delta)));

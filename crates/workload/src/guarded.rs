@@ -314,8 +314,8 @@ impl<'a> GuardedEstimator<'a> {
     }
 
     /// The compiled form tier 1 serves from — callers batching queries
-    /// can hand it to [`xtwig_core::estimate_many`] directly, sharing
-    /// this estimator's expansion memo and epoch.
+    /// can hand it to [`xtwig_core::BatchServer`] directly, sharing this
+    /// estimator's expansion memo and epoch.
     pub fn compiled(&self) -> &CompiledSynopsis<'a> {
         &self.compiled
     }
@@ -334,44 +334,6 @@ impl<'a> GuardedEstimator<'a> {
     /// A snapshot of the degradation counters.
     pub fn counters(&self) -> DegradationSnapshot {
         self.counters.snapshot()
-    }
-
-    /// Serves `q` through the chain. Never panics; the returned estimate
-    /// is always finite and ≥ 0.
-    ///
-    /// **Deprecated surface**: thin shim over the unified
-    /// [`Estimator`] API — prefer `Estimator::estimate(&guarded, &req)`,
-    /// which returns an [`EstimateReport`] with full provenance,
-    /// per-stage telemetry, and the tier trail in its explain section.
-    /// The [`EstimateOutcome`] this returns is the same chain result
-    /// (identical tier decisions and attempt records). `xtask lint` rule
-    /// `legacy-estimate` ratchets remaining callers.
-    pub fn estimate_guarded(&self, q: &TwigQuery) -> EstimateOutcome {
-        self.serve(q, false).0
-    }
-
-    /// The chain implementation: runs the tiers in order, producing both
-    /// the legacy [`EstimateOutcome`] and the unified [`EstimateReport`].
-    fn serve(&self, q: &TwigQuery, explain: bool) -> (EstimateOutcome, EstimateReport) {
-        self.serve_controlled(q, explain, &ChainControls::default())
-    }
-
-    /// Serves `q` with per-request [`ChainControls`]: the request
-    /// deadline is combined with the policy's budget via
-    /// [`earliest_deadline`] (a request can only shrink its budget),
-    /// each tier is gated by its shared circuit breaker (an open breaker
-    /// records [`TierFailure::ShortCircuited`] without running the
-    /// tier), and a per-request fault override takes precedence over the
-    /// estimator-level one. This is the serving runtime's entry point;
-    /// single-query callers without controls should use the
-    /// [`Estimator`] trait.
-    pub fn estimate_controlled(
-        &self,
-        q: &TwigQuery,
-        explain: bool,
-        controls: &ChainControls<'_>,
-    ) -> (EstimateOutcome, EstimateReport) {
-        self.serve_controlled(q, explain, controls)
     }
 
     /// Whether `tier` may run under `controls`' breakers.
@@ -394,7 +356,18 @@ impl<'a> GuardedEstimator<'a> {
         }
     }
 
-    fn serve_controlled(
+    /// Serves `q` through the chain with per-request [`ChainControls`],
+    /// producing both the tier-level [`EstimateOutcome`] and the unified
+    /// [`EstimateReport`]. Never panics; the estimate is always finite
+    /// and ≥ 0. The request deadline is combined with the policy's
+    /// budget via [`earliest_deadline`] (a request can only shrink its
+    /// budget), each tier is gated by its shared circuit breaker (an
+    /// open breaker records [`TierFailure::ShortCircuited`] without
+    /// running the tier), and a per-request fault override takes
+    /// precedence over the estimator-level one. This is the serving
+    /// runtime's entry point; single-query callers without controls
+    /// should use the [`Estimator`] trait.
+    pub fn estimate_controlled(
         &self,
         q: &TwigQuery,
         explain: bool,
@@ -723,13 +696,14 @@ impl Estimator for GuardedEstimator<'_> {
     /// contributes only its `explain` flag, so one policy governs every
     /// caller uniformly.
     fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
-        self.serve(req.query, req.options.explain).1
+        self.estimate_controlled(req.query, req.options.explain, &ChainControls::default())
+            .1
     }
 }
 
 impl SummaryEstimator for GuardedEstimator<'_> {
     fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.estimate_guarded(q).estimate
+        Estimator::estimate(self, &EstimateRequest::new(q)).estimate
     }
 
     fn size_bytes(&self) -> usize {
@@ -746,6 +720,11 @@ mod tests {
     use super::*;
     use xtwig_core::coarse_synopsis;
     use xtwig_query::parse_twig;
+
+    /// The chain's tier-level outcome for `q` without controls.
+    fn outcome(g: &GuardedEstimator<'_>, q: &TwigQuery) -> EstimateOutcome {
+        g.estimate_controlled(q, false, &ChainControls::default()).0
+    }
 
     fn setup() -> (xtwig_xml::Document, Synopsis) {
         let doc = xtwig_xml::parse(concat!(
@@ -764,7 +743,7 @@ mod tests {
         let (_d, s) = setup();
         let g = GuardedEstimator::new(&s, GuardPolicy::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         assert_eq!(out.tier, Tier::Xsketch);
         assert!(!out.degraded);
         assert!((out.estimate - 3.0).abs() < 1e-9);
@@ -797,7 +776,7 @@ mod tests {
         let g = GuardedEstimator::new(&s, GuardPolicy::default())
             .with_fault(InjectedFault::PanicIn(Tier::Xsketch));
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         std::panic::set_hook(prev);
         assert_eq!(out.tier, Tier::Markov);
         assert!(out.degraded);
@@ -822,7 +801,7 @@ mod tests {
         for tier in [Tier::Xsketch, Tier::Markov, Tier::LabelCount] {
             let g = GuardedEstimator::new(&s, GuardPolicy::default())
                 .with_fault(InjectedFault::PanicIn(tier));
-            let out = g.estimate_guarded(&q);
+            let out = outcome(&g, &q);
             assert!(out.estimate.is_finite() && out.estimate >= 0.0, "{tier}");
         }
         std::panic::set_hook(prev);
@@ -834,7 +813,7 @@ mod tests {
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let g = GuardedEstimator::new(&s, GuardPolicy::default())
             .with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         assert_eq!(out.tier, Tier::Markov);
         assert_eq!(out.attempts[0].failure, Some(TierFailure::NonFinite));
         assert!(out.estimate.is_finite());
@@ -850,7 +829,7 @@ mod tests {
         let g = GuardedEstimator::new(&s, policy).with_fault(InjectedFault::StallXsketch);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let start = Instant::now();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         let elapsed = start.elapsed();
         assert!(out.degraded);
         assert_ne!(out.tier, Tier::Xsketch);
@@ -871,7 +850,7 @@ mod tests {
         };
         let g = GuardedEstimator::new(&s, policy);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         assert!(out.degraded);
         assert_eq!(
             out.attempts[0].failure,
@@ -896,7 +875,7 @@ mod tests {
         let (_d, s) = setup();
         let g = GuardedEstimator::new(&s, GuardPolicy::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let outcome = g.estimate_guarded(&q);
+        let outcome = outcome(&g, &q);
         let opts = EstimateOptions::builder().explain(true).build();
         let rep = Estimator::estimate(&g, &EstimateRequest::with_options(&q, opts));
         assert_eq!(rep.estimate.to_bits(), outcome.estimate.to_bits());

@@ -577,13 +577,15 @@ impl IngestStore {
                 path: wpath.clone(),
                 source,
             })?;
+            let applied = apply_delta(&store.doc, &delta)?;
             let outcome = delta_xbuild(
                 &mut store.synopsis,
                 &store.doc,
                 &delta,
+                applied,
                 &mut store.drift,
                 &store.options.delta,
-            )?;
+            );
             if outcome.report.full_rebuild {
                 store.stats.full_rebuilds += 1;
             }
@@ -678,9 +680,10 @@ impl IngestStore {
             path: self.wal.path().to_path_buf(),
             source,
         })?;
-        // Validate against the current document *before* the append so a
-        // malformed delta can never enter the durable log.
-        apply_delta(&self.doc, &delta)?;
+        // Apply (and so validate) against the current document *before*
+        // the append so a malformed delta can never enter the durable
+        // log; maintenance below reuses this one application.
+        let applied = apply_delta(&self.doc, &delta)?;
 
         self.crash_if_armed(CrashPoint::BeforeWalAppend)?;
         if self.crash == Some(CrashPoint::TornWalAppend) {
@@ -705,9 +708,10 @@ impl IngestStore {
             &mut self.synopsis,
             &self.doc,
             &delta,
+            applied,
             &mut self.drift,
             &delta_opts,
-        )?;
+        );
         self.doc = outcome.doc;
         self.since_checkpoint += 1;
         self.stats.deltas_applied += 1;
@@ -1147,16 +1151,18 @@ pub fn run_ingest_soak(
         let pre_bytes = store.snapshot_bytes();
         let mut shadow_syn = store.synopsis().clone();
         let mut shadow_drift = DriftMeter::new();
-        let post_bytes = match delta_xbuild(
+        let Ok(applied) = apply_delta(store.doc(), &delta) else {
+            continue; // delta does not apply; skip this round
+        };
+        delta_xbuild(
             &mut shadow_syn,
             store.doc(),
             &delta,
+            applied,
             &mut shadow_drift,
             &options.delta,
-        ) {
-            Ok(_) => save_synopsis(&shadow_syn),
-            Err(_) => continue, // delta does not apply; skip this round
-        };
+        );
+        let post_bytes = save_synopsis(&shadow_syn);
         store.set_crash(Some(point));
         match store.ingest(&delta) {
             Err(IngestError::Crash(_)) => {
@@ -1226,6 +1232,7 @@ pub fn run_ingest_soak(
 mod tests {
     use super::*;
     use std::fs;
+    use xtwig_xml::NodeId;
 
     fn bib() -> Document {
         parse(concat!(
@@ -1294,6 +1301,42 @@ mod tests {
     }
 
     #[test]
+    fn rejected_delta_never_reaches_the_log_or_the_synopsis() {
+        let dir = tmp("rejected");
+        let mut store = IngestStore::create(&dir, bib(), small_opts()).unwrap();
+        let mut ok = Delta::new();
+        ok.modify(store.doc().root(), Some(7));
+        store.ingest(&ok).unwrap();
+        let records = store.wal.records();
+        let generation = store.generation();
+        let bytes = store.snapshot_bytes();
+
+        let mut delete_root = Delta::new();
+        delete_root.delete(store.doc().root());
+        let mut unknown = Delta::new();
+        unknown.modify(NodeId(9999), Some(1));
+        for delta in [delete_root, unknown] {
+            match store.ingest(&delta) {
+                Err(IngestError::Delta(_)) => {}
+                other => panic!("expected a delta rejection, got {other:?}"),
+            }
+            assert_eq!(store.wal.records(), records, "rejected delta was logged");
+            assert_eq!(store.generation(), generation);
+            assert_eq!(store.snapshot_bytes(), bytes, "rejected delta was applied");
+        }
+
+        drop(store);
+        let store = IngestStore::open(&dir, small_opts()).unwrap();
+        assert_eq!(store.wal.records(), records);
+        assert_eq!(
+            store.snapshot_bytes(),
+            bytes,
+            "recovery must land on the same bytes"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_tail_recovers_to_the_durable_prefix() {
         let dir = tmp("torn");
         let mut store = IngestStore::create(&dir, bib(), small_opts()).unwrap();
@@ -1325,14 +1368,15 @@ mod tests {
         // Shadow-apply for the expected post state.
         let mut shadow = store.synopsis().clone();
         let mut dm = DriftMeter::new();
+        let applied = apply_delta(store.doc(), &delta).unwrap();
         delta_xbuild(
             &mut shadow,
             store.doc(),
             &delta,
+            applied,
             &mut dm,
             &small_opts().delta,
-        )
-        .unwrap();
+        );
         let post = save_synopsis(&shadow);
         store.set_crash(Some(CrashPoint::AfterWalAppend));
         assert!(matches!(

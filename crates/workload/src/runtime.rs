@@ -695,7 +695,7 @@ mod tests {
             assert_eq!(r.request_id, i as u64);
             assert_eq!(r.terminal, TerminalProvenance::Full, "{i}: {r:?}");
             assert_eq!(r.tier, Some(Tier::Xsketch));
-            let want = direct.estimate_guarded(&queries[i]).estimate;
+            let want = Estimator::estimate(&direct, &EstimateRequest::new(&queries[i])).estimate;
             assert_eq!(r.report.estimate.to_bits(), want.to_bits());
         }
         let stats = rt.stats();

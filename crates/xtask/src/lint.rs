@@ -13,7 +13,6 @@
 //! | `unreachable` | `unreachable!`                            | library code |
 //! | `lossy-cast`  | numeric `as` casts                        | estimation + histogram crates |
 //! | `indexing`    | `expr[...]` inside `for`/`while`/`loop`   | estimation + histogram crates |
-//! | `legacy-estimate` | calls to the deprecated estimation entry points | whole workspace minus shim modules |
 //! | `hot-alloc`   | `Vec::new` / `vec!` / `.collect(` on the TREEPARSE hot path | estimate eval + embedding modules |
 //! | `bare-spawn`  | `thread::spawn(`                          | core serve + workload serving paths |
 //! | `atomic-ordering` | `Ordering::Relaxed` without a justification | sync-façade modules minus telemetry |
@@ -24,11 +23,8 @@
 //!
 //! "Library code" excludes `tests/`, `benches/`, `examples/`, `src/bin/`,
 //! binary roots (`main.rs`), the vendored dependency stand-ins under
-//! `vendor/`, and this xtask crate itself. The `legacy-estimate` rule is
-//! wider: it also walks tests, benches, examples and binaries, so *new*
-//! code anywhere must go through the unified `Estimator` trait; the
-//! pre-existing callers are grandfathered in the baseline and ratchet
-//! down from there.
+//! `vendor/`, and the binary-only tooling crates: this xtask crate and
+//! the `perfbench/` benchmark harness.
 //!
 //! Escape hatches, in preference order:
 //!
@@ -112,7 +108,7 @@ pub fn run(args: &[String]) -> ExitCode {
 
     let mut findings = Vec::new();
     for rel in &files {
-        if !is_library_code(rel) && !legacy_estimate_applies(rel) {
+        if !is_library_code(rel) {
             continue;
         }
         let path = root.join(rel);
@@ -198,10 +194,7 @@ pub fn run(args: &[String]) -> ExitCode {
 
     println!(
         "lint: {} file(s) scanned, {} finding(s), {} over baseline, {} stale baseline entr(ies)",
-        files
-            .iter()
-            .filter(|f| is_library_code(f) || legacy_estimate_applies(f))
-            .count(),
+        files.iter().filter(|f| is_library_code(f)).count(),
         findings.len(),
         over,
         stale
@@ -273,8 +266,10 @@ fn is_library_code(rel: &str) -> bool {
     {
         return false;
     }
-    // The lint tool itself is a dev-only binary crate.
-    if rel.starts_with("crates/xtask/") {
+    // Tooling: the lint tool and the benchmark harness are binary-only
+    // crates (perfbench is a Cargo workspace of its own), so none of
+    // their modules ship as library code.
+    if rel.starts_with("crates/xtask/") || rel.starts_with("perfbench/") {
         return false;
     }
     // Whole-component match only: `xbuild.rs` is library code, `build.rs`
@@ -289,20 +284,6 @@ fn is_library_code(rel: &str) -> bool {
 /// the estimation path and the histogram substrate.
 fn numeric_rules_apply(rel: &str) -> bool {
     rel.starts_with("crates/core/src/estimate") || rel.starts_with("crates/histogram/src")
-}
-
-/// Whether the `legacy-estimate` rule applies. It covers the whole
-/// workspace — tests, benches, examples and binaries included — except
-/// the shim modules that *define* the deprecated surface (and this
-/// xtask crate, whose own tests spell the patterns out).
-fn legacy_estimate_applies(rel: &str) -> bool {
-    const SHIM_MODULES: [&str; 4] = [
-        "crates/core/src/estimate/mod.rs",
-        "crates/core/src/estimate/api.rs",
-        "crates/core/src/serve/mod.rs",
-        "crates/workload/src/guarded.rs",
-    ];
-    !SHIM_MODULES.contains(&rel) && !rel.starts_with("crates/xtask/")
 }
 
 /// Whether the `hot-alloc` rule applies: the per-query TREEPARSE hot
@@ -817,10 +798,6 @@ fn scan_file(
         scan_loop_indexing(&masked, &mut emit);
     }
 
-    if legacy_estimate_applies(rel) {
-        scan_legacy_estimate(&masked_lines, &mut emit);
-    }
-
     if hot_alloc_applies(rel) {
         scan_hot_alloc(&masked_lines, &mut emit);
     }
@@ -844,46 +821,6 @@ fn scan_file(
 
     if atomic_ordering_applies(rel) {
         scan_atomic_ordering(&masked_lines, &mut emit);
-    }
-}
-
-/// Flags calls to the deprecated estimation entry points: the
-/// `estimate_selectivity` / `estimate_selectivity_bounded` /
-/// `estimate_many` free functions and the `estimate_guarded` method,
-/// all superseded by the unified `Estimator` trait. Definitions
-/// (`fn estimate_…`) and dotted calls to the free-function names (the
-/// compiled synopsis' shim methods) are not flagged; `estimate_guarded`
-/// is denied even as a method call.
-fn scan_legacy_estimate(masked_lines: &[&str], emit: &mut impl FnMut(&'static str, usize)) {
-    // (pattern, deny dotted method calls too?)
-    const LEGACY: [(&str, bool); 4] = [
-        ("estimate_selectivity(", false),
-        ("estimate_selectivity_bounded(", false),
-        ("estimate_many(", false),
-        ("estimate_guarded(", true),
-    ];
-    for (line_no, line) in masked_lines.iter().enumerate() {
-        for (pat, deny_dotted) in LEGACY {
-            let mut at = 0;
-            while let Some(i) = line[at..].find(pat) {
-                let abs = at + i;
-                at = abs + pat.len();
-                let before = &line[..abs];
-                let prev = before.chars().next_back();
-                // Part of a longer identifier — not one of ours.
-                if prev.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                    continue;
-                }
-                if !deny_dotted && prev == Some('.') {
-                    continue;
-                }
-                // A definition, not a call.
-                if before.trim_end().ends_with("fn") {
-                    continue;
-                }
-                emit("legacy-estimate", line_no + 1);
-            }
-        }
     }
 }
 
@@ -1310,63 +1247,13 @@ mod tests {
         assert!(!is_library_code("src/bin/xtwig-cli.rs"));
         assert!(!is_library_code("tests/exactness.rs"));
         assert!(!is_library_code("crates/xtask/src/lint.rs"));
+        assert!(!is_library_code("perfbench/src/serve.rs"));
         assert!(!is_library_code("examples/demo.rs"));
         // Build scripts are excluded by whole path component — a library
         // file that merely ends in "build.rs" is NOT a build script.
         assert!(!is_library_code("crates/core/build.rs"));
         assert!(!is_library_code("build.rs"));
         assert!(is_library_code("crates/core/src/construct/xbuild.rs"));
-    }
-
-    #[test]
-    fn legacy_estimate_denied_outside_library_code_too() {
-        let src = "fn f() { let e = estimate_selectivity(&s, &q, &o); }\n\
-                   fn g() { let b = xtwig::core::estimate_many(&cs, &qs, &o, None, 1); }\n";
-        let got = findings_in("tests/new_feature.rs", src);
-        assert_eq!(
-            got,
-            vec![
-                ("legacy-estimate".to_string(), 1),
-                ("legacy-estimate".to_string(), 2)
-            ]
-        );
-    }
-
-    #[test]
-    fn legacy_estimate_spares_definitions_methods_and_shims() {
-        // Dotted calls to the free-function names are the compiled
-        // synopsis' shim methods, not the legacy free functions.
-        assert!(findings_in(
-            "tests/new_feature.rs",
-            "fn f() { let e = cs.estimate_selectivity(&q, &o); }\n"
-        )
-        .is_empty());
-        // Definitions are not calls.
-        assert!(findings_in(
-            "examples/demo.rs",
-            "pub fn estimate_many(x: u32) -> u32 { x }\n"
-        )
-        .is_empty());
-        // The shim modules may reference their own surface freely.
-        assert!(findings_in(
-            "crates/core/src/serve/mod.rs",
-            "fn f() { estimate_many(&cs, &qs, &o, None, 1); }\n"
-        )
-        .is_empty());
-        // `estimate_guarded` is denied even as a method call…
-        assert_eq!(
-            findings_in(
-                "examples/demo.rs",
-                "fn f() { let o = g.estimate_guarded(&q); }\n"
-            ),
-            vec![("legacy-estimate".to_string(), 1)]
-        );
-        // …except inside its own defining module.
-        assert!(findings_in(
-            "crates/workload/src/guarded.rs",
-            "fn f() { let o = g.estimate_guarded(&q); }\n"
-        )
-        .is_empty());
     }
 
     #[test]

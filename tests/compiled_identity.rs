@@ -65,7 +65,7 @@ proptest! {
         let est = InterpretedEstimator::new(&s);
         for q in &w.queries {
             let interp = est.estimate(&EstimateRequest::with_options(q, eopts)).bounded();
-            let compiled = cs.estimate_selectivity_bounded(q, &eopts);
+            let compiled = cs.estimate_report(q, &eopts).bounded();
             prop_assert_eq!(
                 interp.estimate.to_bits(),
                 compiled.estimate.to_bits(),
@@ -98,19 +98,19 @@ proptest! {
         if !w.queries.is_empty() {
             prop_assert!(cache.stats().hits >= w.queries.len() as u64);
         }
-        // The unified report surface is the same computation again:
-        // explain on or off, every bit of the estimate and the
-        // provenance facts agree with the legacy bounded result.
+        // Explain on or off, the compiled report is the same computation
+        // again: every bit of the estimate and the provenance facts
+        // agree with the interpreted result.
         let plain = eopts;
         let with_explain = eopts.to_builder().explain(true).build();
         for q in &w.queries {
-            let legacy = cs.estimate_selectivity_bounded(q, &eopts);
+            let interp = est.estimate(&EstimateRequest::with_options(q, eopts)).bounded();
             let rep = cs.estimate_report(q, &plain);
             let rep_explain = cs.estimate_report(q, &with_explain);
-            prop_assert_eq!(rep.estimate.to_bits(), legacy.estimate.to_bits());
-            prop_assert_eq!(rep_explain.estimate.to_bits(), legacy.estimate.to_bits());
-            prop_assert_eq!(rep.provenance.exhaustion, legacy.exhaustion);
-            prop_assert_eq!(rep.provenance.clamped, legacy.clamped);
+            prop_assert_eq!(rep.estimate.to_bits(), interp.estimate.to_bits());
+            prop_assert_eq!(rep_explain.estimate.to_bits(), interp.estimate.to_bits());
+            prop_assert_eq!(rep.provenance.exhaustion, interp.exhaustion);
+            prop_assert_eq!(rep.provenance.clamped, interp.clamped);
             prop_assert!(rep.explain.is_none());
             let e = rep_explain.explain.as_ref();
             prop_assert!(e.is_some());
@@ -118,7 +118,6 @@ proptest! {
                 e.map_or(0, |e| e.embeddings.len()),
                 rep_explain.provenance.embeddings
             );
-            prop_assert_eq!(rep.bounded().estimate.to_bits(), legacy.estimate.to_bits());
         }
     }
 }

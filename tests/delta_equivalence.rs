@@ -15,7 +15,7 @@ use xtwig::datagen::Dataset;
 use xtwig::workload::{
     avg_relative_error, generate_workload, random_delta, WorkloadKind, WorkloadSpec,
 };
-use xtwig::xml::Document;
+use xtwig::xml::{apply_delta, Document};
 
 /// Applies `deltas` random mutations to a maintained synopsis and
 /// returns the final document plus the maintained synopsis.
@@ -32,8 +32,9 @@ fn maintain(ds: Dataset, deltas: usize, seed: u64) -> (Document, Synopsis) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for i in 0..deltas {
         let delta = random_delta(&doc, &mut rng);
-        let outcome = delta_xbuild(&mut synopsis, &doc, &delta, &mut meter, &opts)
+        let applied = apply_delta(&doc, &delta)
             .unwrap_or_else(|e| panic!("{}: delta {i} rejected: {e}", ds.name()));
+        let outcome = delta_xbuild(&mut synopsis, &doc, &delta, applied, &mut meter, &opts);
         doc = outcome.doc;
         fsck(&synopsis)
             .unwrap_or_else(|r| panic!("{}: synopsis broken after delta {i}: {r}", ds.name()));
